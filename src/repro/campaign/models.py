@@ -64,7 +64,7 @@ def _dispatch(
     (backend, codegen, block width -- see
     :func:`~repro.atpg.parallel_sim.compile_for_engine`).  A caller-supplied
     *compiled* circuit is reused when its flavor matches the requested
-    engine and *word_bits*, so campaigns compile exactly once; on any
+    engine and *word_bits*, so repeated calls compile only once; on any
     mismatch -- including a non-default *word_bits* the prebuilt circuit
     does not have -- the call recompiles rather than silently simulating at
     the wrong width or through the wrong engine.

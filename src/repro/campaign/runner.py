@@ -8,6 +8,11 @@ already detected by the pattern phase are skipped, not re-run), greedily
 compact the combined test set, and report per-phase coverage -- and
 :class:`Campaign` executes it for any registered
 :class:`~repro.campaign.model.FaultModel`.
+
+There is one pipeline: :meth:`Campaign.run` runs the shard pipeline of
+:class:`~repro.campaign.sharded.ShardedCampaign` as a single shard in the
+calling process.  This module holds the spec, the result records and the
+pure pipeline pieces both classes share.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ from ..analysis_static.diagnostics import LintReport
 from ..analysis_static.lint import lint_circuit
 from ..analysis_static.untestable import StaticProof
 from ..atpg.compaction import CompactionResult, concat_phase_reports, greedy_compaction
-from ..atpg.coverage import CoverageReport, coverage_from_report
+from ..atpg.coverage import CoverageReport
 from ..atpg.fault_sim import DetectionReport, _check_engine
-from ..atpg.parallel_sim import compile_for_engine
+# Explicit re-export (the redundant alias): repro.campaign.sharded imports it
+# from here, and it lives beside the engine-backend registry.
+from ..atpg.parallel_sim import compile_for_engine as compile_for_engine
 from ..atpg.podem import PodemOptions
 from ..atpg.random_tpg import (
     exhaustive_pairs,
@@ -80,14 +87,15 @@ class CampaignSpec:
     width (None keeps the engine's default:
     :data:`~repro.logic.compiled.DEFAULT_WORD_BITS` for packed,
     :data:`~repro.logic.compiled.DEFAULT_NUMPY_WORD_BITS` for numpy, 64 for
-    interp).  The circuit is compiled once per campaign and the same
-    :class:`~repro.logic.compiled.CompiledCircuit` drives the pattern phase,
-    the ATPG top-up re-simulation and everything downstream of them.
+    interp).  Each process that runs shard tasks compiles the circuit once
+    per campaign, and the same :class:`~repro.logic.compiled.CompiledCircuit`
+    drives the pattern phase, the ATPG top-up re-simulation and everything
+    downstream of them.
 
-    ``shards`` is the default fault-universe partition count used by the
-    multi-process executor (:class:`~repro.campaign.sharded.ShardedCampaign`);
-    the single-process :class:`Campaign` ignores it.  Sharded and unsharded
-    runs of the same spec produce bit-identical results.
+    ``shards`` is the default fault-universe partition count of
+    :class:`~repro.campaign.sharded.ShardedCampaign` (and of the suite and
+    service runners, which use it); :meth:`Campaign.run` always runs one
+    inline shard.  Every shard count produces bit-identical results.
 
     The spec validates itself on construction, so a bad field fails fast at
     the call site instead of mid-run.
@@ -118,12 +126,16 @@ class CampaignSpec:
     #: campaign) and record statically proven untestable faults, which are
     #: then skipped by ATPG.  On by default; set False to opt out.
     static_phase: bool = True
-    # -- Robustness knobs (sharded/service execution only). ------------- #
-    # None of these can change a campaign's *result* -- retried, resumed
-    # and engine-degraded runs are bit-identical by construction -- so they
-    # are deliberately excluded from ``as_dict()``'s spec block and from
-    # ``spec_canonical_form`` (two specs differing only here share cache
-    # entries, checkpoints and goldens).
+    # -- Robustness knobs (every run, Campaign.run included). ------------ #
+    # Every run goes through the shard pipeline, so these apply to
+    # Campaign.run too -- except ``shard_timeout``, which cannot interrupt
+    # a shard that runs inline in the calling process: the inline shard has
+    # finished before its deadline is armed.  None of these can change a
+    # campaign's *result* -- retried, resumed and engine-degraded runs are
+    # bit-identical by construction -- so they are deliberately excluded
+    # from ``as_dict()``'s spec block and from ``spec_canonical_form`` (two
+    # specs differing only here share cache entries, checkpoints and
+    # goldens).
     #: Extra attempts per shard task after its first failure (crash or
     #: deadline overrun).  0 = fail the campaign on the first shard error.
     max_retries: int = 0
@@ -305,7 +317,7 @@ class CampaignResult:
     compaction: Optional[CompactionResult]
     compacted_tests: Optional[list]
     runtime: float
-    #: Engine-degradation provenance, set by the sharded executor when a
+    #: Engine-degradation provenance, set by the shard pipeline when a
     #: shard fell back to a slower engine after repeated failures:
     #: ``{"engine": spec engine, "fallbacks": {shard: engine}}``.  None for
     #: a clean run, and omitted from :meth:`as_dict` then -- degradation is
@@ -405,9 +417,9 @@ class CampaignResult:
         """JSON-serializable summary of the campaign.
 
         ``include_runtime=False`` omits the wall-clock fields (``runtime_s``,
-        ``generation_runtime_s``) so two runs of the same spec -- e.g. a
-        sharded and an unsharded execution, or a run against a golden file --
-        compare byte-identical.
+        ``generation_runtime_s``) so two runs of the same spec -- e.g. with
+        different shard counts, or a run against a golden file -- compare
+        byte-identical.
         """
         spec = self.spec
         payload: dict[str, Any] = {
@@ -534,9 +546,9 @@ def _jsonable(value: Any) -> Any:
 # --------------------------------------------------------------------------- #
 # Pure pipeline pieces.
 #
-# These are module-level (hence picklable) and side-effect free so the
-# multi-process sharded executor (repro.campaign.sharded) can run them in
-# worker processes and still produce results bit-identical to Campaign.run.
+# The campaign pipeline itself lives in repro.campaign.sharded; these pieces
+# are module-level (hence picklable) and side-effect free so its shard tasks
+# can run them in worker processes or inline in the calling process.
 # --------------------------------------------------------------------------- #
 def resolve_campaign_circuit(
     circuit: LogicCircuit | str | os.PathLike | None,
@@ -556,10 +568,6 @@ def resolve_campaign_circuit(
         return resolve_circuit(circuit)
     except (ValueError, LogicCircuitError) as exc:
         raise CampaignError(str(exc)) from None
-
-
-# compile_for_engine is re-exported here for backwards compatibility: it now
-# lives beside the engine-backend registry in repro.atpg.parallel_sim.
 
 
 def collapse_universe(
@@ -601,17 +609,15 @@ def run_static_phase(
     model: FaultModel,
     circuit: LogicCircuit,
     faults: FaultList,
-    lint: Optional[LintReport] = None,
+    lint: LintReport,
 ) -> StaticPhaseResult:
-    """Collect the static phase: lint gate plus untestability proofs.
+    """Collect the static phase: lint report plus untestability proofs.
 
-    *lint* carries a report from an earlier :func:`run_lint_gate` call (the
-    runner lints before compiling); when None the gate runs here.  Models
-    without a ``prove_untestable`` hook simply contribute no proofs.
+    *lint* is the report of the :func:`run_lint_gate` call the pipeline
+    makes before it builds the universe.  Models without a
+    ``prove_untestable`` hook simply contribute no proofs.
     """
     t0 = time.perf_counter()
-    if lint is None:
-        lint = run_lint_gate(circuit)
     prove = getattr(model, "prove_untestable", None)
     proofs: dict[str, StaticProof] = prove(circuit, faults) if prove is not None else {}
     return StaticPhaseResult(lint=lint, proofs=proofs, runtime=time.perf_counter() - t0)
@@ -634,7 +640,7 @@ def generate_atpg_outcomes(
     default.  Returns (outcomes for the attempted faults, skipped fault
     keys, proven fault keys), all in universe order -- the invariant that
     makes fault-sharded generation merge back into exactly the
-    single-process test list.
+    one-shard test list.
     """
     outcomes: list[AtpgOutcome] = []
     skipped: list[str] = []
@@ -704,12 +710,12 @@ def assemble_result(
 ) -> CampaignResult:
     """Merge phases, compact, and build the final :class:`CampaignResult`.
 
-    Both the single-process and the sharded executor end here, so report
-    merging and compaction behave identically no matter how the phases were
-    computed.  A detection of a statically proven fault means an unsound
-    proof and raises :class:`CampaignError` -- by construction it cannot
-    happen, and silently reporting such a fault both detected and untestable
-    would corrupt every downstream count.
+    Every run ends here, so report merging and compaction behave
+    identically no matter how many shards computed the phases.  A detection
+    of a statically proven fault means an unsound proof and raises
+    :class:`CampaignError` -- by construction it cannot happen, and silently
+    reporting such a fault both detected and untestable would corrupt every
+    downstream count.
     """
     merged_report = concat_phase_reports(
         faults.keys(), [p.report for p in (pattern_phase, atpg_phase) if p is not None]
@@ -786,93 +792,17 @@ class Campaign:
         *circuit* may be a :class:`LogicCircuit`, a circuit reference
         string (registered name, parametric ``family:args`` or ``.bench``
         path), or None to use the spec's ``circuit`` field.
+
+        This is the shard pipeline of
+        :class:`~repro.campaign.sharded.ShardedCampaign` run as one shard on
+        an :class:`~repro.campaign.sharded.InlineExecutor`, without
+        checkpoints, so retries, engine degradation and the ``degraded``
+        provenance behave exactly as in a sharded run.
         """
-        spec, model = self.spec, self.model
-        circuit = resolve_campaign_circuit(circuit, spec)
-        start = time.perf_counter()
+        # Imported here: repro.campaign.sharded imports this module.
+        from .sharded import ShardedCampaign
 
-        # The lint gate runs before anything touches the netlist, so a
-        # malformed circuit fails with rule-id diagnostics rather than a
-        # compile or universe-builder traceback.
-        lint = run_lint_gate(circuit) if spec.static_phase else None
-
-        # One compile per campaign: every phase's fault simulation reuses the
-        # same CompiledCircuit (codegen over big-int or ndarray words for
-        # "packed"/"numpy", interpreter baseline at the legacy width for
-        # "interp"; the serial engine needs none).
-        compiled = compile_for_engine(circuit, spec.engine, spec.word_bits)
-
-        universe = model.build_universe(circuit, **spec.universe_options)
-        faults = collapse_universe(model, circuit, universe, spec.collapse)
-        detected: set[str] = set()
-
-        static_phase: StaticPhaseResult | None = None
-        proven: frozenset[str] = frozenset()
-        if spec.static_phase:
-            static_phase = run_static_phase(model, circuit, faults, lint=lint)
-            proven = frozenset(static_phase.proofs)
-
-        pattern_phase: PatternPhaseResult | None = None
-        if spec.pattern_source != "none":
-            t0 = time.perf_counter()
-            tests = self.patterns_for(circuit)
-            report = model.simulate(
-                circuit, tests, faults, drop_detected=spec.drop_detected,
-                engine=spec.engine, compiled=compiled, word_bits=spec.word_bits,
-            )
-            pattern_phase = PatternPhaseResult(
-                source=spec.pattern_source,
-                tests=list(tests),
-                report=report,
-                coverage=coverage_from_report(model.name, report),
-                runtime=time.perf_counter() - t0,
-            )
-            detected.update(report.detected_faults)
-
-        atpg_phase: AtpgPhaseResult | None = None
-        if spec.run_atpg:
-            t0 = time.perf_counter()
-            outcomes, skipped, proven_skipped = generate_atpg_outcomes(
-                model, circuit, faults, detected, spec.podem_options, proven=proven,
-                atpg_engine=spec.atpg_engine,
-            )
-            generation_runtime = time.perf_counter() - t0
-            atpg_tests = [test for outcome in outcomes for test in outcome.tests]
-            # With dropping on, faults the pattern phase already detected are
-            # excluded here too, so each dropped fault keeps exactly one
-            # detection index across the whole campaign; without dropping the
-            # full universe is simulated so compaction sees every alternative.
-            if spec.drop_detected:
-                sim_faults = faults.filtered(lambda f: f.key not in detected)
-            else:
-                sim_faults = faults
-            report = model.simulate(
-                circuit, atpg_tests, sim_faults, drop_detected=spec.drop_detected,
-                engine=spec.engine, compiled=compiled, word_bits=spec.word_bits,
-            )
-            atpg_phase = build_atpg_phase(
-                model.name,
-                len(faults),
-                outcomes,
-                skipped,
-                report,
-                runtime=time.perf_counter() - t0,
-                generation_runtime=generation_runtime,
-                proven=proven_skipped,
-            )
-            detected.update(report.detected_faults)
-
-        return assemble_result(
-            spec,
-            model,
-            circuit,
-            universe,
-            faults,
-            pattern_phase,
-            atpg_phase,
-            runtime=time.perf_counter() - start,
-            static_phase=static_phase,
-        )
+        return ShardedCampaign(self.spec, shards=1, max_workers=0).run(circuit)
 
 
 def run_campaign(

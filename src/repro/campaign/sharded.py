@@ -1,6 +1,13 @@
-"""Multi-process sharded campaign execution.
+"""The campaign pipeline: fault-sharded, inline or across worker processes.
 
-The campaign pipeline is embarrassingly parallel across the fault universe:
+This is the one implementation of the campaign flow.
+:meth:`Campaign.run <repro.campaign.runner.Campaign.run>` runs it as a
+single shard on :class:`InlineExecutor`; :class:`ShardedCampaign` runs any
+shard count on a process pool, an external executor or inline, optionally
+with checkpoints.  Retries, engine degradation and the ``degraded``
+provenance therefore behave the same for every run.
+
+The pipeline is embarrassingly parallel across the fault universe:
 every fault's pattern-phase detection list, ATPG attempt and re-simulation
 result depend only on that fault (and the shared test lists), never on other
 faults.  :class:`ShardedCampaign` exploits this by partitioning the
@@ -11,7 +18,7 @@ a :class:`~concurrent.futures.ProcessPoolExecutor`:
    tests over its fault slice and runs deterministic ATPG for its still
    undetected faults;
 2. **re-simulate** -- the per-shard ATPG tests are concatenated in shard
-   order (identical to the single-process test list, because shards are
+   order (identical to the one-shard test list, because shards are
    contiguous in universe order) and every shard re-simulates the full
    merged ATPG test list over its fault slice.
 
@@ -19,17 +26,18 @@ Per-shard :class:`~repro.atpg.fault_sim.DetectionReport`\\ s are merged back
 in universe order (:func:`repro.atpg.compaction.merge_fault_shards`)
 **before** greedy compaction runs, so the final
 :class:`~repro.campaign.runner.CampaignResult` -- coverage, detection
-indices, test lists, compacted subset, JSON report -- is bit-identical to
-:meth:`Campaign.run <repro.campaign.runner.Campaign.run>` for every fault
-model, engine, ``drop_detected`` setting and shard count (ragged or empty
-final shards included).  The property suite in ``tests/test_properties.py``
-asserts exactly this.
+indices, test lists, compacted subset, JSON report -- is bit-identical for
+every fault model, engine, ``drop_detected`` setting and shard count
+(ragged or empty final shards included).  The property suite in
+``tests/test_properties.py`` asserts exactly this.
 
-Each worker process compiles the circuit once per campaign (keyed by a run
-token) and reuses the same :class:`~repro.logic.compiled.CompiledCircuit`
-for both rounds, so sharding adds one compile per worker, not per task.
-Workers receive plain picklable payloads (the netlist, fault dataclasses,
-test tuples); compiled circuits never cross process boundaries.
+Each process that runs shard tasks compiles the circuit once per campaign
+(keyed by a run token) and reuses the same
+:class:`~repro.logic.compiled.CompiledCircuit` for both rounds, so sharding
+adds one compile per worker, not per task; the calling process drops its
+entries when the run ends.  Workers receive plain picklable payloads (the
+netlist, fault dataclasses, test tuples); compiled circuits never cross
+process boundaries.
 """
 
 from __future__ import annotations
@@ -103,7 +111,7 @@ def partition_faults(faults: Sequence[Fault] | FaultList, shards: int) -> list[l
     Chunks are ``ceil(n / shards)`` long, so with more shards than faults
     the trailing shards come out empty -- callers skip those.  Contiguity in
     universe order is what makes per-shard ATPG test lists concatenate into
-    exactly the single-process test list.
+    exactly the one-shard test list.
     """
     if shards < 1:
         raise CampaignError(f"shards must be >= 1, got {shards}")
@@ -124,7 +132,8 @@ _TOKENS = itertools.count()
 #: token because retry degradation can re-run a shard of the same campaign
 #: under a fallback engine -- the packed artifact must not be reused then.
 #: Bounded so long-lived shared pools (CampaignSuite) do not accumulate one
-#: compiled circuit per finished campaign.
+#: compiled circuit per finished campaign; a run whose tasks ran in the
+#: calling process drops its own entries when it ends.
 _WORKER_COMPILED: dict[tuple[str, str, Optional[int]], object] = {}
 _WORKER_CACHE_LIMIT = 8
 
@@ -445,7 +454,10 @@ def _collect_round(
 
 
 class ShardedCampaign:
-    """Fault-sharded, multi-process form of :class:`~repro.campaign.Campaign`.
+    """The campaign pipeline over any shard count, inline or on a pool.
+
+    :meth:`Campaign.run <repro.campaign.runner.Campaign.run>` is this class
+    with ``shards=1, max_workers=0`` and no checkpoint directory.
 
     ``shards`` defaults to the spec's ``shards`` field; ``max_workers``
     defaults to ``min(shards, cpu_count)``, and ``max_workers=0`` selects
@@ -507,24 +519,27 @@ class ShardedCampaign:
         return ProcessPoolExecutor(max_workers=workers), True, workers
 
     def run(self, circuit: LogicCircuit | str | None = None) -> CampaignResult:
-        """Execute the sharded pipeline; the result matches ``Campaign.run``."""
+        """Execute the pipeline; the result is the same for every shard count."""
         spec, model = self.spec, self.model
         circuit = resolve_campaign_circuit(circuit, spec)
         start = time.perf_counter()
 
-        # Universe building, collapsing and the static phase stay in the
-        # parent: they are cheap relative to simulation/ATPG, the contiguous
-        # partition of the *collapsed* list fixes shard contents (and hence
-        # merge order) once and for all, and running lint + proofs exactly
-        # once keeps the proof set -- and the deterministic shard-order sum
-        # of per-shard proven counts -- identical to the single-process run.
+        # The lint gate runs before anything touches the netlist, so a
+        # malformed circuit fails with rule-id diagnostics rather than a
+        # compile or universe-builder traceback.  Universe building,
+        # collapsing and the static phase stay in the parent: they are cheap
+        # relative to simulation/ATPG, the contiguous partition of the
+        # *collapsed* list fixes shard contents (and hence merge order) once
+        # and for all, and running lint + proofs exactly once keeps the
+        # proof set -- and the deterministic shard-order sum of per-shard
+        # proven counts -- the same for every shard count.
         lint = run_lint_gate(circuit) if spec.static_phase else None
         universe = model.build_universe(circuit, **spec.universe_options)
         faults = collapse_universe(model, circuit, universe, spec.collapse)
         static_phase: Optional[StaticPhaseResult] = None
         proven: frozenset[str] = frozenset()
         if spec.static_phase:
-            static_phase = run_static_phase(model, circuit, faults, lint=lint)
+            static_phase = run_static_phase(model, circuit, faults, lint)
             proven = frozenset(static_phase.proofs)
         shard_lists = [s for s in partition_faults(faults, self.shards) if s]
 
@@ -688,6 +703,11 @@ class ShardedCampaign:
             self.fault_tolerance = stats.as_dict()
             if owns_pool:
                 executor.shutdown()
+            # Inline tasks cached this run's compiled circuits in this
+            # process; pool workers keep their own bounded cache.
+            for key in list(_WORKER_COMPILED):
+                if key[0] == token:
+                    _WORKER_COMPILED.pop(key, None)
 
         result = assemble_result(
             spec,
@@ -725,10 +745,10 @@ def run_sharded_campaign(
 
     Builds a spec (or takes one), partitions the fault universe into
     *shards* (default: the spec's ``shards`` field) and runs the campaign
-    across worker processes; the result is bit-identical to the
-    single-process :func:`~repro.campaign.run_campaign`.  *checkpoint_dir*
-    persists every completed shard so a killed run resumes where it left
-    off (see :class:`ShardedCampaign`).
+    across worker processes; the result is bit-identical to
+    :func:`~repro.campaign.run_campaign`, which runs one inline shard.
+    *checkpoint_dir* persists every completed shard so a killed run resumes
+    where it left off (see :class:`ShardedCampaign`).
     """
     if spec is not None and spec_kwargs:
         raise CampaignError("pass either a CampaignSpec or keyword fields, not both")

@@ -5,9 +5,9 @@ CampaignSpec`\\ s (each naming its circuit) concurrently in a shared
 :class:`~concurrent.futures.ProcessPoolExecutor` -- one campaign per worker
 task, so a battery of small campaigns saturates the pool while every
 individual result stays bit-identical to a standalone
-:meth:`Campaign.run <repro.campaign.runner.Campaign.run>`.  Specs with
-``shards > 1`` run their shard pipeline inline inside the worker (nested
-process pools are never created).
+:meth:`Campaign.run <repro.campaign.runner.Campaign.run>`.  Each entry runs
+the shard pipeline inline inside the worker with its spec's ``shards``
+count (nested process pools are never created).
 
 :meth:`CampaignSuite.cross` builds the usual benchmark battery as the cross
 product of circuits x models x engines, and :class:`SuiteResult` emits the
@@ -37,7 +37,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from ..ioutil import atomic_write_text
 from .errors import CampaignError
-from .runner import Campaign, CampaignResult, CampaignSpec
+from .runner import CampaignResult, CampaignSpec
 from .sharded import InlineExecutor, ShardedCampaign
 
 
@@ -63,10 +63,7 @@ def _run_suite_entry(
             key, cached = cache.fetch(None, spec)
             if cached is not None:
                 return index, cached, None, time.perf_counter() - start, True, None
-        if spec.shards > 1:
-            result = ShardedCampaign(spec, pool=InlineExecutor()).run()
-        else:
-            result = Campaign(spec).run()
+        result = ShardedCampaign(spec, max_workers=0).run()
         if cache is not None:
             cache.put(key, result)
         return index, result, None, time.perf_counter() - start, False, None

@@ -24,7 +24,7 @@ Scenario anatomy (everything runs on :class:`InlineExecutor` wrapped in a
 :class:`~repro.service.faultinject.ChaosExecutor`, so the matrix is fast
 and fully deterministic):
 
-1. one fault-free single-process baseline (shared by all scenarios);
+1. one fault-free one-shard baseline (shared by all scenarios);
 2. the chaos run: plan installed, campaign executed with checkpointing;
 3. a cache round trip under the still-active plan (put, get, and -- when
    the entry was torn -- a second put/get proving recompute-and-overwrite);

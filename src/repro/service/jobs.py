@@ -40,7 +40,6 @@ from typing import Any, Optional
 
 from ..campaign.errors import CampaignError
 from ..campaign.runner import (
-    Campaign,
     CampaignResult,
     CampaignSpec,
     resolve_campaign_circuit,
@@ -166,13 +165,13 @@ def _execute_job(
     """Worker-side job body: cache lookup, run, cache store -- all trapped.
 
     Runs inside a pool process; returns a plain dict so every outcome
-    (including the failure path) pickles back to the parent.  Sharded specs
-    run their shard pipeline inline -- nested process pools are never
-    created -- and the checkpoint directory is derived from the campaign
-    fingerprint, so a resubmitted job resumes the shards a crashed
-    predecessor completed.
+    (including the failure path) pickles back to the parent.  Every job
+    runs the shard pipeline inline with its spec's ``shards`` count --
+    nested process pools are never created -- and the checkpoint
+    directory is derived from the campaign fingerprint, so a resubmitted
+    job resumes the shards a crashed predecessor completed.
     """
-    from ..campaign.sharded import InlineExecutor, ShardedCampaign
+    from ..campaign.sharded import ShardedCampaign
 
     try:
         # Tagged by circuit reference, not call count: the hook stays
@@ -189,13 +188,7 @@ def _execute_job(
             circuit = resolve_campaign_circuit(None, spec)
             fingerprint = campaign_fingerprint(circuit, spec, schema_version=schema_version)
             checkpoint_dir = str(Path(checkpoint_root) / fingerprint[:24])
-        if checkpoint_dir is not None or spec.shards > 1:
-            sharded = ShardedCampaign(
-                spec, pool=InlineExecutor(), checkpoint_dir=checkpoint_dir
-            )
-            result = sharded.run()
-        else:
-            result = Campaign(spec).run()
+        result = ShardedCampaign(spec, max_workers=0, checkpoint_dir=checkpoint_dir).run()
         if cache is not None and key is not None:
             cache.put(key, result)
         return {

@@ -26,6 +26,7 @@ from repro.atpg import (
     serial_simulate_transition,
     simulate_stuck_at,
 )
+from repro.atpg.fault_sim import ENGINES
 from repro.atpg.random_tpg import random_pairs, random_patterns
 from repro.campaign import (
     Campaign,
@@ -300,6 +301,19 @@ class TestDegradeAndGating:
         assert DEGRADE_FALLBACK == {
             "numpy": "packed", "packed": "interp", "interp": "serial",
         }
+
+    def test_fallback_ladder_is_exhaustive_and_acyclic(self):
+        # Every registered engine but the serial reference has a rung, and
+        # every rung names a registered engine.
+        assert set(DEGRADE_FALLBACK) == set(ENGINES) - {"serial"}
+        assert set(DEGRADE_FALLBACK.values()) <= set(ENGINES)
+        # Following the rungs from any engine ends at serial, never looping.
+        for engine in ENGINES:
+            ladder = [engine]
+            while ladder[-1] != "serial":
+                rung = DEGRADE_FALLBACK[ladder[-1]]
+                assert rung not in ladder, f"degradation cycle: {ladder + [rung]}"
+                ladder.append(rung)
 
     def test_retry_policy_degrades_numpy_to_packed(self):
         spec = CampaignSpec(engine="numpy", allow_degraded=True)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
+import repro.campaign.sharded as sharded_module
 from repro.atpg import (
     DetectionReport,
     concat_phase_reports,
@@ -26,6 +28,7 @@ from repro.campaign import (
     run_sharded_campaign,
 )
 from repro.faults import stuck_at_universe
+from repro.service.faultinject import Injection, InjectionPlan, install
 
 
 # --------------------------------------------------------------------------- #
@@ -179,6 +182,40 @@ class TestShardedCampaign:
     def test_packed_simulate_shard_rejects_unknown_model(self, fa_sum):
         with pytest.raises(ValueError, match="unknown packed fault-simulation model"):
             packed_simulate_shard("bridging", fa_sum, [], [])
+
+
+# --------------------------------------------------------------------------- #
+# Campaign.run is the shard pipeline with one inline shard.
+# --------------------------------------------------------------------------- #
+class TestOnePipeline:
+    SPEC = CampaignSpec(model="stuck-at", pattern_source="random", pattern_count=8, seed=1)
+
+    def test_inline_runs_leave_no_compiled_circuits(self, c17_circuit):
+        before = dict(sharded_module._WORKER_COMPILED)
+        Campaign(self.SPEC).run(c17_circuit)
+        assert sharded_module._WORKER_COMPILED == before
+        ShardedCampaign(self.SPEC, shards=2, max_workers=0).run(c17_circuit)
+        assert sharded_module._WORKER_COMPILED == before
+
+    def test_campaign_run_retries_a_crashed_shard(self, c17_circuit):
+        clean = Campaign(self.SPEC).run(c17_circuit)
+        retrying = replace(self.SPEC, max_retries=1, retry_backoff=0)
+        with install(InjectionPlan((Injection("worker.round1", "crash"),))) as injector:
+            result = Campaign(retrying).run(c17_circuit)
+        assert injector.summary()["by_site"] == {"worker.round1:crash": 1}
+        assert result.degraded is None
+        assert result.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+        assert result.tests == clean.tests
+        assert result.compacted_tests == clean.compacted_tests
+
+    def test_campaign_run_degrades_after_its_retry_budget(self, c17_circuit):
+        clean = Campaign(self.SPEC).run(c17_circuit)
+        with install(InjectionPlan((Injection("worker.round2", "crash"),))):
+            result = Campaign(self.SPEC).run(c17_circuit)
+        assert result.degraded == {"engine": "packed", "fallbacks": {"0": "interp"}}
+        assert result.as_dict(include_runtime=False) == {
+            **clean.as_dict(include_runtime=False), "degraded": result.degraded,
+        }
 
 
 # --------------------------------------------------------------------------- #
