@@ -5,8 +5,8 @@ analyzer-registry pattern: a rule owns an id, a severity, a one-line
 description, and a ``check`` hook producing structured
 :class:`~repro.analysis_static.diagnostics.Diagnostic`\\ s).  Rules run in
 registration order over a shared :class:`LintContext`, which caches the
-expensive derived structure (driven sets, PO-reachability, the implication
-baseline) so adding a rule stays cheap.
+expensive derived structure (driven sets, PO-reachability, the
+static-learning pass) so adding a rule stays cheap.
 
 Two front doors:
 
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 from ..logic.bench import _DECL_RE, _GATE_RE, _strip, parse_bench
 from ..logic.netlist import LogicCircuitError
 from .diagnostics import Diagnostic, LintReport, Severity
-from .implication import ImplicationEngine, learn_implications
+from .implication import StaticLearning, learn_implications
 
 if TYPE_CHECKING:
     from ..logic.netlist import LogicCircuit
@@ -51,7 +51,7 @@ class LintContext:
         self.bench_drivers = dict(bench_drivers or {})
         self.driven = set(circuit.primary_inputs) | {g.output for g in circuit}
         self._observable: set[str] | None = None
-        self._constants: dict[str, int] | None = None
+        self._learning: StaticLearning | None = None
 
     def line_of(self, net: str) -> Optional[int]:
         return self.net_lines.get(net)
@@ -77,12 +77,20 @@ class LintContext:
         return self._observable
 
     @property
+    def learning(self) -> StaticLearning:
+        """Pairwise static learning over the circuit (one pass, on first use).
+
+        A campaign's lint gate hands this pass on to the untestability
+        prover and the structural ATPG context instead of learning again.
+        """
+        if self._learning is None:
+            self._learning = learn_implications(self.circuit)
+        return self._learning
+
+    @property
     def constants(self) -> dict[str, int]:
         """Nets proven constant by implication plus static learning."""
-        if self._constants is None:
-            engine = ImplicationEngine(self.circuit)
-            self._constants = learn_implications(self.circuit, engine).constants
-        return self._constants
+        return self.learning.constants
 
 
 class LintRule:
@@ -331,6 +339,15 @@ def lint_circuit(
 ) -> LintReport:
     """Run the registered rules (or the *rules* subset) over *circuit*."""
     context = LintContext(circuit, net_lines=net_lines, bench_drivers=bench_drivers)
+    return lint_context(context, rules=rules)
+
+
+def lint_context(context: LintContext, rules: Iterable[str] | None = None) -> LintReport:
+    """Run the registered rules (or the *rules* subset) over a prepared *context*.
+
+    The context keeps what the rules derived -- its :attr:`LintContext.learning`
+    in particular -- for the caller to reuse.
+    """
     selected = list(_RULES.values())
     if rules is not None:
         wanted = set(rules)
@@ -346,7 +363,7 @@ def lint_circuit(
         if rule.requires_well_formed and not well_formed:
             continue
         diagnostics.extend(rule.check(context))
-    return LintReport(circuit_name=circuit.name, diagnostics=diagnostics)
+    return LintReport(circuit_name=context.circuit.name, diagnostics=diagnostics)
 
 
 _BENCH_LINE_RE = re.compile(r"\.bench line (\d+)")

@@ -35,7 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .implication import ImplicationEngine, _gate_relation, learn_implications
+from .implication import (
+    ImplicationEngine,
+    StaticLearning,
+    _gate_relation,
+    learn_implications,
+)
 
 if TYPE_CHECKING:
     from ..faults.stuck_at import StuckAtFault
@@ -63,11 +68,19 @@ class StaticProof:
 
 
 class StaticUntestabilityProver:
-    """Per-circuit prover: one learning pass, then cheap per-fault checks."""
+    """Per-circuit prover: static learning, then cheap per-fault checks.
 
-    def __init__(self, circuit: "LogicCircuit"):
+    *learning* is the circuit's :class:`StaticLearning` when the caller
+    already has it (a campaign reuses the lint gate's pass); None runs the
+    learning pass here.
+    """
+
+    def __init__(
+        self, circuit: "LogicCircuit", learning: Optional[StaticLearning] = None
+    ):
         self.circuit = circuit
-        learning = learn_implications(circuit)
+        if learning is None:
+            learning = learn_implications(circuit)
         self.learning = learning
         self.engine = ImplicationEngine(
             circuit, learned=learning.implications, constants=learning.constants

@@ -19,8 +19,13 @@ circuit: topological order, levels, fan-out maps, SCOAP testability numbers
 (guiding PODEM's backtrace and the D-algorithm's frontier ordering) and the
 static-learning implication engine whose excitation closures both prune the
 search and prove ``unexcitable`` / ``dead-cone`` faults outright.  Contexts
-are cached per circuit object, so a campaign pays for SCOAP and static
-learning once, not once per fault.
+are cached per circuit object and rebuilt when the circuit's structural
+:attr:`~repro.logic.netlist.LogicCircuit.version` changes, so SCOAP and the
+implication engine are built once per circuit, not once per fault.  A
+caller that already holds the circuit's
+:class:`~repro.analysis_static.implication.StaticLearning` (the campaign
+pipeline learns once, in the lint gate) seeds the context with it through
+:func:`circuit_context`; the context learns on its own only when nobody did.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from ...analysis_static.implication import ImplicationEngine, learn_implications
+from ...analysis_static.implication import (
+    ImplicationEngine,
+    StaticLearning,
+    learn_implications,
+)
 from ...analysis_static.scoap import ScoapMeasures, scoap_measures
 from ...faults.stuck_at import StuckAtFault
 from ...logic.netlist import Gate, LogicCircuit
@@ -89,6 +98,11 @@ class CircuitContext:
     """Per-circuit derived structure shared by every fault's search."""
 
     circuit: LogicCircuit
+    #: The circuit's static learning, if a caller already computed it;
+    #: None makes :attr:`implication_engine` learn on first use.
+    learning: Optional[StaticLearning] = field(default=None, repr=False)
+    #: :attr:`LogicCircuit.version` this context was derived from.
+    version: int = field(init=False)
     order: list[Gate] = field(init=False)
     levels: dict[str, int] = field(init=False)
     #: Gates reading each net (structural fan-out).
@@ -98,6 +112,7 @@ class CircuitContext:
 
     def __post_init__(self) -> None:
         circuit = self.circuit
+        self.version = circuit.version
         self.order = circuit.topological_order()
         self.levels = circuit.levelize()
         loads: dict[str, list[Gate]] = {net: [] for net in circuit.nets()}
@@ -135,7 +150,9 @@ class CircuitContext:
     @cached_property
     def implication_engine(self) -> ImplicationEngine:
         """Static-learning implication engine over the good machine."""
-        learning = learn_implications(self.circuit)
+        learning = self.learning
+        if learning is None:
+            learning = self.learning = learn_implications(self.circuit)
         return ImplicationEngine(
             self.circuit, learned=learning.implications, constants=learning.constants
         )
@@ -155,12 +172,24 @@ _CONTEXTS: "weakref.WeakKeyDictionary[LogicCircuit, CircuitContext]" = (
 )
 
 
-def circuit_context(circuit: LogicCircuit) -> CircuitContext:
-    """The (cached) shared context for *circuit*."""
+def circuit_context(
+    circuit: LogicCircuit, learning: Optional[StaticLearning] = None
+) -> CircuitContext:
+    """The (cached) shared context for *circuit*.
+
+    A cached context is rebuilt when *circuit* has been extended since it
+    was derived (its :attr:`~LogicCircuit.version` moved), so a stale
+    fan-out or observability map can never yield an unsound
+    ``proven_redundant``.  *learning*, when given, must be the static
+    learning of *circuit* as it is now; it seeds a context that has none
+    yet, which then never runs its own learning pass.
+    """
     context = _CONTEXTS.get(circuit)
-    if context is None:
-        context = CircuitContext(circuit)
+    if context is None or context.version != circuit.version:
+        context = CircuitContext(circuit, learning)
         _CONTEXTS[circuit] = context
+    elif context.learning is None:
+        context.learning = learning
     return context
 
 

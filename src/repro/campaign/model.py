@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
+from ..analysis_static.implication import StaticLearning
 from ..atpg.fault_sim import DetectionReport
 from ..atpg.podem import PodemOptions
 from ..faults.base import Fault, FaultList
@@ -117,13 +118,21 @@ class FaultModel(Protocol):
     def collapse_dominance(self, circuit: LogicCircuit, faults: FaultList) -> FaultList:
         """Equivalence *plus* dominance collapsing (identity if unsupported)."""
 
-    def prove_untestable(self, circuit: LogicCircuit, faults: FaultList) -> dict:
+    def prove_untestable(
+        self,
+        circuit: LogicCircuit,
+        faults: FaultList,
+        learning: StaticLearning | None = None,
+    ) -> dict:
         """Statically proven untestable faults, keyed by fault key.
 
         Values are :class:`~repro.analysis_static.untestable.StaticProof`
-        instances; models without a static prover return ``{}``.  The
-        campaign runner looks these hooks up with ``getattr`` so third-party
-        models registered before this protocol grew them keep working.
+        instances; models without a static prover return ``{}``.  *learning*
+        is the circuit's static learning when the caller already computed it
+        (the campaign pipeline passes the lint gate's pass); a prover must
+        not learn again then.  The campaign runner looks these hooks up with
+        ``getattr`` so third-party models registered before this protocol
+        grew them keep working.
         """
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+from ..analysis_static.implication import StaticLearning
 from ..analysis_static.untestable import (
     StaticProof,
+    StaticUntestabilityProver,
     prove_stuck_at_untestable,
     prove_transition_untestable,
 )
@@ -85,7 +87,10 @@ class _StaticHooksMixin:
         return self.collapse(circuit, faults)
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self,
+        circuit: LogicCircuit,
+        faults: FaultList,
+        learning: StaticLearning | None = None,
     ) -> dict[str, StaticProof]:
         return {}
 
@@ -109,9 +114,13 @@ class StuckAtModel(_StaticHooksMixin):
         return faults.filtered(lambda f: f in collapsed)
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self,
+        circuit: LogicCircuit,
+        faults: FaultList,
+        learning: StaticLearning | None = None,
     ) -> dict[str, StaticProof]:
-        return prove_stuck_at_untestable(circuit, faults)
+        prover = StaticUntestabilityProver(circuit, learning)
+        return prove_stuck_at_untestable(circuit, faults, prover)
 
     def simulate(
         self,
@@ -199,9 +208,13 @@ class TransitionModel(_StaticHooksMixin):
         )
 
     def prove_untestable(
-        self, circuit: LogicCircuit, faults: FaultList
+        self,
+        circuit: LogicCircuit,
+        faults: FaultList,
+        learning: StaticLearning | None = None,
     ) -> dict[str, StaticProof]:
-        return prove_transition_untestable(circuit, faults)
+        prover = StaticUntestabilityProver(circuit, learning)
+        return prove_transition_untestable(circuit, faults, prover)
 
     #: Structural engine for the capture (stuck-at) half of the search.
     default_atpg_engine = "podem"

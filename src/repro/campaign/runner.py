@@ -25,7 +25,8 @@ from enum import Enum
 from typing import Any, Iterable, Optional, Sequence
 
 from ..analysis_static.diagnostics import LintReport
-from ..analysis_static.lint import lint_circuit
+from ..analysis_static.implication import StaticLearning
+from ..analysis_static.lint import LintContext, lint_context
 from ..analysis_static.untestable import StaticProof
 from ..atpg.compaction import CompactionResult, concat_phase_reports, greedy_compaction
 from ..atpg.coverage import CoverageReport
@@ -587,22 +588,28 @@ def collapse_universe(
     return model.collapse(circuit, universe)
 
 
-def run_lint_gate(circuit: LogicCircuit) -> LintReport:
-    """Lint *circuit* and abort on error-severity findings.
+def run_lint_gate(circuit: LogicCircuit) -> tuple[LintReport, StaticLearning]:
+    """Lint *circuit*, abort on error-severity findings, and return the learning.
 
     An error-severity diagnostic aborts the campaign with a
     :class:`CampaignError` quoting every finding; warnings and infos are
     recorded on the report but do not block.  This runs before the circuit
     is compiled or the fault universe built, so structural defects surface
     as campaign errors with rule ids instead of engine tracebacks.
+
+    Returns the report and the static learning the constant-net rule
+    computed.  That is the campaign's one learning pass: the pipeline hands
+    it to the untestability prover and the structural ATPG context.  It is
+    kept off the report, which is pickled into the result cache.
     """
-    lint = lint_circuit(circuit)
+    context = LintContext(circuit)
+    lint = lint_context(context)
     if not lint.ok:
         findings = "; ".join(d.format() for d in lint.errors)
         raise CampaignError(
             f"circuit {circuit.name or '<unnamed>'!r} failed netlist lint: {findings}"
         )
-    return lint
+    return lint, context.learning
 
 
 def run_static_phase(
@@ -610,16 +617,20 @@ def run_static_phase(
     circuit: LogicCircuit,
     faults: FaultList,
     lint: LintReport,
+    learning: StaticLearning,
 ) -> StaticPhaseResult:
     """Collect the static phase: lint report plus untestability proofs.
 
-    *lint* is the report of the :func:`run_lint_gate` call the pipeline
-    makes before it builds the universe.  Models without a
+    *lint* and *learning* come from the :func:`run_lint_gate` call the
+    pipeline makes before it builds the universe; the model's prover reuses
+    *learning* instead of learning again.  Models without a
     ``prove_untestable`` hook simply contribute no proofs.
     """
     t0 = time.perf_counter()
     prove = getattr(model, "prove_untestable", None)
-    proofs: dict[str, StaticProof] = prove(circuit, faults) if prove is not None else {}
+    proofs: dict[str, StaticProof] = (
+        prove(circuit, faults, learning=learning) if prove is not None else {}
+    )
     return StaticPhaseResult(lint=lint, proofs=proofs, runtime=time.perf_counter() - t0)
 
 

@@ -56,11 +56,13 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..analysis_static.implication import StaticLearning
 from ..atpg.compaction import merge_fault_shards
 from ..atpg.coverage import coverage_from_report
 from ..atpg.fault_sim import DetectionReport
 from ..atpg.parallel_sim import packed_simulate_shard
 from ..atpg.podem import PodemOptions
+from ..atpg.structural import circuit_context
 from ..faults.base import Fault, FaultList
 from ..logic.netlist import LogicCircuit
 
@@ -188,14 +190,18 @@ def _shard_pattern_and_generate(
     proven: frozenset[str] = frozenset(),
     atpg_engine: str | None = None,
     shard_index: int = -1,
+    learning: Optional[StaticLearning] = None,
 ) -> tuple[Optional[DetectionReport], list[AtpgOutcome], list[str], list[str], float, float]:
     """Round 1: pattern-phase simulation plus ATPG generation for one shard.
 
     *tests* is None when the spec has no pattern phase; *proven* carries the
-    parent's static untestability proofs (computed once, never per shard).
-    Returns the shard's pattern report, its ATPG outcomes, skipped keys and
-    proven keys (all in universe order), and the shard's (simulation
-    seconds, generation seconds).
+    parent's static untestability proofs and *learning* its static learning
+    (both computed once, never per shard).  The learning seeds this
+    process's structural ATPG context for *circuit*, so the worker does not
+    learn again; None leaves the context to learn on first use.  Returns the
+    shard's pattern report, its ATPG outcomes, skipped keys and proven keys
+    (all in universe order), and the shard's (simulation seconds, generation
+    seconds).
     """
     inject("worker.round1", shard=shard_index)
     model = get_model(model_name)
@@ -216,6 +222,8 @@ def _shard_pattern_and_generate(
     gen_seconds = 0.0
     if run_atpg:
         t0 = time.perf_counter()
+        if learning is not None:
+            circuit_context(circuit, learning)
         outcomes, skipped, proven_skipped = generate_atpg_outcomes(
             model, circuit, fault_shard, detected, podem_options, proven=proven,
             atpg_engine=atpg_engine,
@@ -532,15 +540,20 @@ class ShardedCampaign:
         # *collapsed* list fixes shard contents (and hence merge order) once
         # and for all, and running lint + proofs exactly once keeps the
         # proof set -- and the deterministic shard-order sum of per-shard
-        # proven counts -- the same for every shard count.
-        lint = run_lint_gate(circuit) if spec.static_phase else None
+        # proven counts -- the same for every shard count.  The lint gate's
+        # static learning is the run's only learning pass: the prover reuses
+        # it here and round-1 tasks ship it to their structural ATPG context.
+        lint = learning = None
+        if spec.static_phase:
+            lint, learning = run_lint_gate(circuit)
         universe = model.build_universe(circuit, **spec.universe_options)
         faults = collapse_universe(model, circuit, universe, spec.collapse)
         static_phase: Optional[StaticPhaseResult] = None
         proven: frozenset[str] = frozenset()
         if spec.static_phase:
-            static_phase = run_static_phase(model, circuit, faults, lint)
+            static_phase = run_static_phase(model, circuit, faults, lint, learning)
             proven = frozenset(static_phase.proofs)
+        atpg_learning = learning if spec.run_atpg else None
         shard_lists = [s for s in partition_faults(faults, self.shards) if s]
 
         tests: Optional[list] = None
@@ -586,7 +599,7 @@ class ShardedCampaign:
                             token, circuit, model.name, engine or spec.engine,
                             spec.word_bits, tests, shard, spec.drop_detected,
                             spec.run_atpg, spec.podem_options, proven,
-                            spec.atpg_engine, index,
+                            spec.atpg_engine, index, atpg_learning,
                         ),
                     )
                     for index, shard in enumerate(shard_lists)

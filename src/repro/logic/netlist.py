@@ -73,6 +73,9 @@ class Gate:
 class LogicCircuit:
     """A combinational gate-level netlist."""
 
+    #: Structural version, bumped by every ``add_*`` call (see :attr:`version`).
+    _version = 0
+
     def __init__(self, name: str = ""):
         self.name = name
         self._inputs: list[str] = []
@@ -90,6 +93,7 @@ class LogicCircuit:
         if net in self._driver:
             raise LogicCircuitError(f"net {net!r} is already driven by gate {self._driver[net]!r}")
         self._inputs.append(net)
+        self._version += 1
         return net
 
     def add_inputs(self, nets: Iterable[str]) -> list[str]:
@@ -100,6 +104,7 @@ class LogicCircuit:
         if net in self._outputs:
             raise LogicCircuitError(f"primary output {net!r} already declared")
         self._outputs.append(net)
+        self._version += 1
         return net
 
     def add_gate(
@@ -127,11 +132,21 @@ class LogicCircuit:
         gate = Gate(name=name, gate_type=gate_type, inputs=tuple(inputs), output=output)
         self._gates[name] = gate
         self._driver[output] = name
+        self._version += 1
         return gate
 
     # ------------------------------------------------------------------ #
     # Introspection.
     # ------------------------------------------------------------------ #
+    @property
+    def version(self) -> int:
+        """Structural version: changes whenever an input, output or gate is added.
+
+        Caches of derived per-circuit structure compare it to notice that
+        the netlist was extended after they were built.
+        """
+        return self._version
+
     @property
     def primary_inputs(self) -> list[str]:
         return list(self._inputs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -216,6 +217,74 @@ class TestOnePipeline:
         assert result.as_dict(include_runtime=False) == {
             **clean.as_dict(include_runtime=False), "degraded": result.degraded,
         }
+
+
+# --------------------------------------------------------------------------- #
+# One static-learning pass per campaign, shipped to the shard workers.
+# --------------------------------------------------------------------------- #
+#: Round-1 tasks really run ATPG here: the pattern phase leaves faults over.
+LEARN_ONCE_CIRCUIT = "rdag:60,5"
+
+
+def _learn_once_spec(model: str) -> CampaignSpec:
+    return CampaignSpec(
+        model=model, circuit=LEARN_ONCE_CIRCUIT, pattern_source="random",
+        pattern_count=8, seed=0,
+    )
+
+
+@pytest.fixture
+def parent_only_learning(monkeypatch):
+    """Count learning passes at every import site; a worker pass raises.
+
+    Forked pool workers inherit the patched attributes, so a worker that
+    learns fails its shard (which then shows up as a retry or a raise).
+    """
+    from repro.analysis_static import implication, lint, untestable
+    from repro.atpg.structural import engine
+
+    parent, calls = os.getpid(), []
+
+    def counting(circuit, *args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("a shard worker ran its own learning pass")
+        calls.append(circuit.name)
+        return implication.learn_implications(circuit, *args, **kwargs)
+
+    for module in (lint, untestable, engine):
+        monkeypatch.setattr(module, "learn_implications", counting)
+    return calls
+
+
+class TestLearnOnce:
+    @pytest.mark.parametrize("model", ["stuck-at", "transition"])
+    def test_campaign_run_learns_once(self, parent_only_learning, model):
+        result = Campaign(_learn_once_spec(model)).run()
+        assert result.atpg_phase.attempted > 0
+        assert len(parent_only_learning) == 1
+
+    @pytest.mark.parametrize("model", ["stuck-at", "transition"])
+    def test_pool_workers_never_learn(self, parent_only_learning, model):
+        executor = ShardedCampaign(_learn_once_spec(model), shards=3, max_workers=2)
+        result = executor.run()
+        assert len(parent_only_learning) == 1
+        assert executor.fault_tolerance["retries"] == 0
+        assert executor.fault_tolerance["degraded_shards"] == 0
+        assert result.degraded is None
+
+    @pytest.mark.parametrize("model", ["stuck-at", "transition"])
+    def test_pool_run_with_shipped_learning_is_bit_identical(self, model):
+        spec = _learn_once_spec(model)
+        base = Campaign(spec).run()
+        sharded = ShardedCampaign(spec, shards=3, max_workers=2).run()
+        assert sharded.as_dict(include_runtime=False) == base.as_dict(include_runtime=False)
+        assert sharded.tests == base.tests
+        # The worker shards' searches ran on the shipped learning: ATPG
+        # outcomes come from more than one shard, tested ones included.
+        shards = partition_faults(sharded.faults, 3)
+        attempted = {outcome.fault.key for outcome in sharded.atpg_phase.outcomes}
+        assert sum(1 for s in shards if attempted & {f.key for f in s}) >= 2
+        assert sharded.atpg_phase.testable
 
 
 # --------------------------------------------------------------------------- #

@@ -14,8 +14,11 @@ The headline invariants, checked on every circuit-generator family:
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.analysis_static.implication import learn_implications
 from repro.analysis_static.untestable import prove_stuck_at_untestable
 from repro.atpg import (
     ATPG_ENGINES,
@@ -29,7 +32,7 @@ from repro.atpg import (
     register_atpg_engine,
     serial_simulate_stuck_at,
 )
-from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED
+from repro.atpg.structural import ABORTED, PROVEN_REDUNDANT, TESTED, circuit_context
 from repro.atpg.structural.logic5 import (
     V0,
     V1,
@@ -168,6 +171,54 @@ def test_unknown_fault_net_raises():
     circuit = resolve_circuit("c17")
     with pytest.raises(ValueError):
         get_atpg_engine("podem").generate(circuit, StuckAtFault("nonexistent", 0))
+
+
+def _dead_inverter():
+    """``y = a AND b`` is the output; ``n = NOT b`` drives nothing (yet)."""
+    c = LogicCircuit("grows")
+    c.add_inputs(["a", "b"])
+    c.add_gate("g_y", GateType.AND2, ["a", "b"], "y")
+    c.add_output("y")
+    c.add_gate("g_n", GateType.INV, ["b"], "n")
+    return c
+
+
+@pytest.mark.parametrize("name", ALL_ENGINES)
+def test_cached_context_follows_circuit_mutation(name):
+    """A circuit extended after its first search must not be answered from
+    the stale cached context: ``n/sa0`` is dead-cone only until ``n``
+    becomes an output, and a gate added later is searchable at all."""
+    engine = get_atpg_engine(name)
+    circuit = _dead_inverter()
+    fault = StuckAtFault("n", 0)
+    assert engine.generate(circuit, fault, GENEROUS).status == PROVEN_REDUNDANT
+
+    circuit.add_output("n")
+    fresh = engine.generate(copy.deepcopy(circuit), fault, GENEROUS)
+    assert fresh.status == TESTED
+    assert engine.generate(circuit, fault, GENEROUS) == fresh
+
+    circuit.add_gate("g_z", GateType.XOR2, ["a", "n"], "z")
+    circuit.add_output("z")
+    assert engine.generate(circuit, StuckAtFault("z", 0), GENEROUS).status == TESTED
+
+
+def test_circuit_context_seeding_and_invalidation():
+    """A seeded context uses the caller's learning instead of learning
+    again, and a structural change drops the seed with the stale context."""
+    circuit = _dead_inverter()
+    learning = learn_implications(circuit)
+    context = circuit_context(circuit, learning)
+    assert context.learning is learning
+    assert circuit_context(circuit) is context
+    assert context.implication_engine.learned == learning.implications
+
+    version = circuit.version
+    circuit.add_output("n")
+    assert circuit.version > version
+    rebuilt = circuit_context(circuit)
+    assert rebuilt is not context
+    assert rebuilt.learning is None and "n" in rebuilt.observable
 
 
 # --------------------------------------------------------------------------- #
