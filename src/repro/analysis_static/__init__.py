@@ -12,7 +12,10 @@ here reasons about a :class:`~repro.logic.netlist.LogicCircuit` (or its
   observability measures in one topological pass, surfaced through
   :meth:`LogicCircuit.stats() <repro.logic.netlist.LogicCircuit.stats>`.
 * :mod:`~repro.analysis_static.implication` -- a ternary (0/1/X) static
-  implication engine with pairwise static learning.
+  implication engine over int net ids with pairwise static learning.
+* :mod:`~repro.analysis_static.analysis` -- the one per-circuit analysis
+  (order, fan-out, observability, learning, learned engine and closure
+  memo) that lint, the prover and structural ATPG share.
 * :mod:`~repro.analysis_static.untestable` -- structural untestability
   proofs for stuck-at and transition faults (unexcitable / unobservable /
   dead cone), consumed by the campaign layer's static phase.
@@ -22,6 +25,7 @@ The campaign integration lives in :mod:`repro.campaign`: lint errors become
 faults are recorded as untestable with ``proven_static`` provenance.
 """
 
+from .analysis import CircuitAnalysis, circuit_analysis
 from .diagnostics import Diagnostic, LintReport, Severity
 from .implication import ImplicationEngine, StaticLearning, learn_implications
 from .lint import LintRule, lint_bench, lint_circuit, registered_rules
@@ -44,6 +48,8 @@ __all__ = [
     "ScoapMeasures",
     "scoap_measures",
     "scoap_summary",
+    "CircuitAnalysis",
+    "circuit_analysis",
     "ImplicationEngine",
     "StaticLearning",
     "learn_implications",

@@ -5,8 +5,10 @@ analyzer-registry pattern: a rule owns an id, a severity, a one-line
 description, and a ``check`` hook producing structured
 :class:`~repro.analysis_static.diagnostics.Diagnostic`\\ s).  Rules run in
 registration order over a shared :class:`LintContext`, which caches the
-expensive derived structure (driven sets, PO-reachability, the
-static-learning pass) so adding a rule stays cheap.
+driven set and, once the circuit is known to be well-formed, reads
+PO-reachability and the static-learning pass from the circuit's shared
+:class:`~repro.analysis_static.analysis.CircuitAnalysis`, so adding a rule
+stays cheap and a campaign derives each of them once.
 
 Two front doors:
 
@@ -24,10 +26,12 @@ cascade of follow-on noise.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from ..logic.bench import _DECL_RE, _GATE_RE, _strip, parse_bench
 from ..logic.netlist import LogicCircuitError
+from .analysis import CircuitAnalysis, circuit_analysis
 from .diagnostics import Diagnostic, LintReport, Severity
 from .implication import StaticLearning, learn_implications
 
@@ -50,13 +54,11 @@ class LintContext:
         #: ``.bench``-level driver lines per net (if linting source text).
         self.bench_drivers = dict(bench_drivers or {})
         self.driven = set(circuit.primary_inputs) | {g.output for g in circuit}
-        self._observable: set[str] | None = None
-        self._learning: StaticLearning | None = None
 
     def line_of(self, net: str) -> Optional[int]:
         return self.net_lines.get(net)
 
-    @property
+    @cached_property
     def well_formed(self) -> bool:
         """Closed and acyclic: the precondition of the structural rules."""
         try:
@@ -66,26 +68,32 @@ class LintContext:
         return True
 
     @property
+    def analysis(self) -> CircuitAnalysis:
+        """The circuit's shared analysis (well-formed circuits only)."""
+        if not self.well_formed:
+            raise LogicCircuitError(
+                f"circuit {self.circuit.name!r} is not closed and acyclic; "
+                f"it has no structural analysis"
+            )
+        return circuit_analysis(self.circuit)
+
+    @property
     def observable_nets(self) -> set[str]:
         """Nets from which at least one primary output is reachable."""
-        if self._observable is None:
-            observable = set(self.circuit.primary_outputs)
-            for gate in reversed(self.circuit.topological_order()):
-                if gate.output in observable:
-                    observable.update(gate.inputs)
-            self._observable = observable
-        return self._observable
+        return self.analysis.observable
 
     @property
     def learning(self) -> StaticLearning:
         """Pairwise static learning over the circuit (one pass, on first use).
 
-        A campaign's lint gate hands this pass on to the untestability
-        prover and the structural ATPG context instead of learning again.
+        The pass seeds the circuit's shared analysis, which hands it on to
+        the untestability prover and the structural ATPG context instead of
+        learning again.  Well-formed circuits only, like :attr:`analysis`.
         """
-        if self._learning is None:
-            self._learning = learn_implications(self.circuit)
-        return self._learning
+        analysis = self.analysis
+        if analysis.learning is None:
+            analysis.seed(learn_implications(self.circuit))
+        return analysis.learning
 
     @property
     def constants(self) -> dict[str, int]:

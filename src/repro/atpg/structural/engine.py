@@ -15,26 +15,32 @@ of :data:`repro.atpg.parallel_sim.PACKED_SIMULATORS` -- and campaigns select
 one via ``CampaignSpec.atpg_engine``.
 
 The :class:`CircuitContext` carries everything the searches share per
-circuit: topological order, levels, fan-out maps, SCOAP testability numbers
-(guiding PODEM's backtrace and the D-algorithm's frontier ordering) and the
-static-learning implication engine whose excitation closures both prune the
-search and prove ``unexcitable`` / ``dead-cone`` faults outright.  Contexts
-are cached per circuit object and rebuilt when the circuit's structural
+circuit.  It reads the circuit's shared
+:class:`~repro.analysis_static.analysis.CircuitAnalysis` -- topological
+order, fan-out maps, observability, the static learning, the one learned
+implication engine and its per-literal closure memo -- and adds levels and
+SCOAP testability numbers (guiding PODEM's backtrace and the D-algorithm's
+frontier ordering).  Excitation closures both prune the search and prove
+``unexcitable`` / ``dead-cone`` faults outright; a closure the
+untestability prover already computed for the same literal is read from
+the memo, not computed again.  Contexts are cached per circuit object and
+rebuilt with the analysis when the circuit's structural
 :attr:`~repro.logic.netlist.LogicCircuit.version` changes, so SCOAP and the
 implication engine are built once per circuit, not once per fault.  A
 caller that already holds the circuit's
 :class:`~repro.analysis_static.implication.StaticLearning` (the campaign
-pipeline learns once, in the lint gate) seeds the context with it through
+pipeline learns once, in the lint gate) seeds the analysis with it through
 :func:`circuit_context`; the context learns on its own only when nobody did.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from ...analysis_static.analysis import CircuitAnalysis, circuit_analysis
 from ...analysis_static.implication import (
     ImplicationEngine,
     StaticLearning,
@@ -93,38 +99,32 @@ class StructuralAtpgError(Exception):
     fails verification, an unknown engine name)."""
 
 
-@dataclass
 class CircuitContext:
-    """Per-circuit derived structure shared by every fault's search."""
+    """Per-circuit structure shared by every fault's search.
 
-    circuit: LogicCircuit
-    #: The circuit's static learning, if a caller already computed it;
-    #: None makes :attr:`implication_engine` learn on first use.
-    learning: Optional[StaticLearning] = field(default=None, repr=False)
-    #: :attr:`LogicCircuit.version` this context was derived from.
-    version: int = field(init=False)
-    order: list[Gate] = field(init=False)
-    levels: dict[str, int] = field(init=False)
-    #: Gates reading each net (structural fan-out).
-    loads: dict[str, list[Gate]] = field(init=False)
-    #: Nets from which at least one primary output is reachable.
-    observable: set[str] = field(init=False)
+    A view of the circuit's
+    :class:`~repro.analysis_static.analysis.CircuitAnalysis` (order,
+    fan-out, observability, learning, implication engine and closure memo)
+    plus what only the searches need: levels and SCOAP.
+    """
 
-    def __post_init__(self) -> None:
-        circuit = self.circuit
-        self.version = circuit.version
-        self.order = circuit.topological_order()
-        self.levels = circuit.levelize()
-        loads: dict[str, list[Gate]] = {net: [] for net in circuit.nets()}
-        for gate in self.order:
-            for net in dict.fromkeys(gate.inputs):
-                loads[net].append(gate)
-        self.loads = loads
-        observable = set(circuit.primary_outputs)
-        for gate in reversed(self.order):
-            if gate.output in observable:
-                observable.update(gate.inputs)
-        self.observable = observable
+    def __init__(self, analysis: CircuitAnalysis):
+        self.analysis = analysis
+        self.order: list[Gate] = analysis.order
+        #: Gates reading each net (structural fan-out).
+        self.loads: dict[str, list[Gate]] = analysis.loads
+        #: Nets from which at least one primary output is reachable.
+        self.observable: set[str] = analysis.observable
+        self.levels: dict[str, int] = analysis.circuit.levelize()
+
+    @property
+    def circuit(self) -> LogicCircuit:
+        return self.analysis.circuit
+
+    @property
+    def learning(self) -> Optional[StaticLearning]:
+        """The circuit's static learning, once someone has computed it."""
+        return self.analysis.learning
 
     def fanout_nets(self, net: str) -> list[str]:
         """Output nets of the gates reading *net* (precomputed loads)."""
@@ -147,24 +147,28 @@ class CircuitContext:
         """SCOAP controllability / observability (computed lazily, once)."""
         return scoap_measures(self.circuit)
 
-    @cached_property
+    @property
     def implication_engine(self) -> ImplicationEngine:
         """Static-learning implication engine over the good machine."""
-        learning = self.learning
-        if learning is None:
-            learning = self.learning = learn_implications(self.circuit)
-        return ImplicationEngine(
-            self.circuit, learned=learning.implications, constants=learning.constants
-        )
+        return self._learned_analysis().engine
 
     def excitation_closure(self, fault: StuckAtFault) -> Optional[dict[str, int]]:
         """Necessary good-machine values of every test exciting *fault*.
 
         The implication closure of ``{fault.net: 1 - fault.value}`` under
-        the learned implications; None means the activating value is
-        unreachable (the fault is statically proven unexcitable).
+        the learned implications, shared with the untestability prover
+        through the analysis's closure memo (a fresh dict per call); None
+        means the activating value is unreachable (the fault is statically
+        proven unexcitable).
         """
-        return self.implication_engine.imply({fault.net: 1 - fault.value})
+        return self._learned_analysis().closure(fault.net, 1 - fault.value)
+
+    def _learned_analysis(self) -> CircuitAnalysis:
+        """The analysis, seeded here with a learning pass if nobody seeded it."""
+        analysis = self.analysis
+        if analysis.learning is None:
+            analysis.seed(learn_implications(self.circuit))
+        return analysis
 
 
 _CONTEXTS: "weakref.WeakKeyDictionary[LogicCircuit, CircuitContext]" = (
@@ -177,19 +181,19 @@ def circuit_context(
 ) -> CircuitContext:
     """The (cached) shared context for *circuit*.
 
-    A cached context is rebuilt when *circuit* has been extended since it
-    was derived (its :attr:`~LogicCircuit.version` moved), so a stale
-    fan-out or observability map can never yield an unsound
-    ``proven_redundant``.  *learning*, when given, must be the static
-    learning of *circuit* as it is now; it seeds a context that has none
-    yet, which then never runs its own learning pass.
+    A cached context is rebuilt with the circuit's analysis when *circuit*
+    has been extended since it was derived (its
+    :attr:`~LogicCircuit.version` moved), so a stale fan-out or
+    observability map can never yield an unsound ``proven_redundant``.
+    *learning*, when given, must be the static learning of *circuit* as it
+    is now; it seeds an analysis that has none yet, which then never runs
+    its own learning pass.
     """
+    analysis = circuit_analysis(circuit, learning)
     context = _CONTEXTS.get(circuit)
-    if context is None or context.version != circuit.version:
-        context = CircuitContext(circuit, learning)
+    if context is None or context.analysis is not analysis:
+        context = CircuitContext(analysis)
         _CONTEXTS[circuit] = context
-    elif context.learning is None:
-        context.learning = learning
     return context
 
 

@@ -10,12 +10,14 @@ from dataclasses import replace
 import pytest
 
 import repro.campaign.sharded as sharded_module
+from repro.analysis_static import ImplicationEngine
 from repro.atpg import (
     DetectionReport,
     concat_phase_reports,
     merge_fault_shards,
     packed_simulate_shard,
 )
+from repro.atpg.structural import CircuitContext
 from repro.campaign import (
     Campaign,
     CampaignError,
@@ -262,6 +264,46 @@ class TestLearnOnce:
         result = Campaign(_learn_once_spec(model)).run()
         assert result.atpg_phase.attempted > 0
         assert len(parent_only_learning) == 1
+
+    def test_campaign_run_closes_each_fault_literal_once(self, monkeypatch):
+        """The prover and structural ATPG share one learned engine and its
+        closure memo: learning builds the plain engine, the analysis the
+        learned one, each literal is closed at most once on it, and ATPG
+        reads closures the prover already computed."""
+        engines: list[ImplicationEngine] = []
+        events: list[tuple] = []
+        init, closure = ImplicationEngine.__init__, ImplicationEngine.closure
+        excite = CircuitContext.excitation_closure
+
+        def counting_init(engine, *args, **kwargs):
+            engines.append(engine)
+            init(engine, *args, **kwargs)
+
+        def counting_closure(engine, literals):
+            names = tuple((engine.names[lit >> 1], lit & 1) for lit in literals)
+            events.append(("close", engine, names))
+            return closure(engine, literals)
+
+        def counting_excite(context, fault):
+            events.append(("excite", None, ((fault.net, 1 - fault.value),)))
+            return excite(context, fault)
+
+        monkeypatch.setattr(ImplicationEngine, "__init__", counting_init)
+        monkeypatch.setattr(ImplicationEngine, "closure", counting_closure)
+        monkeypatch.setattr(CircuitContext, "excitation_closure", counting_excite)
+        result = Campaign(_learn_once_spec("stuck-at")).run()
+
+        assert result.atpg_phase.attempted > 0
+        assert [bool(engine.learned) for engine in engines] == [False, True]
+        learned = engines[1]
+        closed = [names for kind, engine, names in events if engine is learned]
+        assert closed and len(closed) == len(set(closed))
+        first_excite = next(i for i, event in enumerate(events) if event[0] == "excite")
+        by_prover = {
+            names for kind, engine, names in events[:first_excite] if engine is learned
+        }
+        excited = {names for kind, _, names in events if kind == "excite"}
+        assert excited & by_prover
 
     @pytest.mark.parametrize("model", ["stuck-at", "transition"])
     def test_pool_workers_never_learn(self, parent_only_learning, model):

@@ -10,13 +10,17 @@ collapsing.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from itertools import product
 
 import pytest
 
 from repro.analysis_static import (
     ImplicationEngine,
     Severity,
+    StaticUntestabilityProver,
     learn_implications,
     lint_bench,
     lint_circuit,
@@ -48,6 +52,7 @@ from repro.campaign import (
 )
 from repro.faults import stuck_at_universe, transition_fault_universe
 from repro.logic import GateType, LogicCircuit, random_dag, write_bench
+from repro.logic.simulator import simulate_pattern
 
 
 # --------------------------------------------------------------------- #
@@ -276,6 +281,132 @@ class TestImplication:
         # b tracks x, so x=0 must force y=0 (and the contrapositive y=1 -> x=1).
         forced = dict(learning.implications).get(("x", 0), ())
         assert ("y", 0) in forced or ("b", 0) in forced
+
+
+class TestImplicationInputChecks:
+    """Bad literals are rejected: a silent None would read as a proof."""
+
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_imply_rejects_values_outside_0_1(self, value):
+        engine = ImplicationEngine(resolve_circuit("c17"))
+        with pytest.raises(ValueError, match=rf"'G1'.*{value}|{value}.*'G1'"):
+            engine.imply({"G1": value})
+
+    def test_imply_rejects_unknown_nets(self):
+        with pytest.raises(ValueError, match="'nope'"):
+            ImplicationEngine(resolve_circuit("c17")).imply({"nope": 1})
+
+    def test_constants_must_name_circuit_nets_and_bits(self):
+        c17 = resolve_circuit("c17")
+        with pytest.raises(ValueError, match="'nope'"):
+            ImplicationEngine(c17, constants={"nope": 1})
+        with pytest.raises(ValueError, match="'G1'"):
+            ImplicationEngine(c17, constants={"G1": 2})
+
+    def test_learned_pairs_must_name_circuit_nets_and_bits(self):
+        c17 = resolve_circuit("c17")
+        with pytest.raises(ValueError, match="'ghost'"):
+            ImplicationEngine(c17, learned={("G1", 0): (("ghost", 0),)})
+        with pytest.raises(ValueError, match="'ghost'"):
+            ImplicationEngine(c17, learned={("ghost", 1): (("G1", 0),)})
+        with pytest.raises(ValueError, match="'G22'"):
+            ImplicationEngine(c17, learned={("G1", 0): (("G22", 3),)})
+
+    def test_prover_rejects_a_bad_fault_value(self):
+        prover = StaticUntestabilityProver(resolve_circuit("c17"))
+        with pytest.raises(ValueError, match="'G10'"):
+            prover.prove_stuck_at("G10", 3)
+        with pytest.raises(ValueError, match="'G10'"):
+            prover.prove_transition("G10", 2)
+
+
+def _sha256_json(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+#: sha256 of the JSON dumps of ``list(learning.implications.items())``,
+#: ``list(learning.constants.items())`` and every literal's
+#: ``list(engine.imply({n: v}).items())`` (None when contradictory; nets in
+#: ``circuit.nets()`` order, value 0 then 1, on the engine seeded with the
+#: learning), recorded from the string-keyed engine this kernel replaced.
+#: Dict order is part of the contract: the D-algorithm seeds its trail in
+#: closure order and learned-pair order follows it.
+KERNEL_DIGESTS = {
+    "c17": (
+        26,
+        "332f25f06c1245d1a6ac9501e33a2810e34271a248aefcfeb985fdde0508c587",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "893c11cb79c03835d0add39773a913b10946ebfb4a2f05c0bd1077156531627b",
+    ),
+    "rdag:60,4": (
+        1922,
+        "c675c4d5911bb10a11db901fad7fce9e28440b55bbb17bb3b3bf13d1cc4a13a5",
+        "5a5868cff76a9207c4b143ecd977f00efe2ca0e54e26f6e8c42077dfce69fa6b",
+        "b78d0a30273d087180a1e7c04437263981f8ccae8bbcadf48f214eda13445bb5",
+    ),
+    "rdag:200,4": (
+        16238,
+        "26e6b00b909948bb31b9ecd086bf8db52fff1e7f408930c4427f77cd9f511ee6",
+        "4c7eb8a4ac91ae3d6d50b526e9fa608c9ae35f812e2a10857e26ab31c3466da3",
+        "f3dcba8c12857471df35ba6b00e5d33c0defba1a5bd6493891dd5064e2f2eca4",
+    ),
+}
+
+
+class TestImplicationKernel:
+    @pytest.mark.parametrize("ref", sorted(KERNEL_DIGESTS))
+    def test_learning_and_closures_are_pinned_order_included(self, ref):
+        pairs, implications, constants, closures = KERNEL_DIGESTS[ref]
+        circuit = resolve_circuit(ref)
+        learning = learn_implications(circuit)
+        assert learning.num_implications == pairs
+        assert _sha256_json(list(learning.implications.items())) == implications
+        assert _sha256_json(list(learning.constants.items())) == constants
+        engine = ImplicationEngine(
+            circuit, learned=learning.implications, constants=learning.constants
+        )
+        dumps = []
+        for net in circuit.nets():
+            for value in (0, 1):
+                implied = engine.imply({net: value})
+                dumps.append(None if implied is None else list(implied.items()))
+        assert _sha256_json(dumps) == closures
+
+    @pytest.mark.parametrize("ref", ["c17", "rdag:60,4", "rdag:40,7,8", "rdag:90,3,10"])
+    def test_imply_and_learned_pairs_are_sound_exhaustively(self, ref):
+        """Every implied value holds on every input vector that sets the seed
+        literal, None means no vector sets it, and every learned pair holds
+        on every vector -- for the plain and the learned engine."""
+        circuit = resolve_circuit(ref)
+        assert len(circuit.primary_inputs) <= 10
+        vectors = [
+            simulate_pattern(circuit, bits)
+            for bits in product((0, 1), repeat=len(circuit.primary_inputs))
+        ]
+        learning = learn_implications(circuit)
+        for (net, value), targets in learning.implications.items():
+            for vector in vectors:
+                if vector[net] == value:
+                    assert all(vector[m] == w for m, w in targets), (net, value)
+        for net, value in learning.constants.items():
+            assert all(vector[net] == value for vector in vectors), net
+        engines = [
+            ImplicationEngine(circuit),
+            ImplicationEngine(
+                circuit, learned=learning.implications, constants=learning.constants
+            ),
+        ]
+        for engine in engines:
+            for net in circuit.nets():
+                for value in (0, 1):
+                    matching = [v for v in vectors if v[net] == value]
+                    implied = engine.imply({net: value})
+                    if implied is None:
+                        assert not matching, (net, value)
+                        continue
+                    for vector in matching:
+                        wrong = {m: w for m, w in implied.items() if vector[m] != w}
+                        assert not wrong, (net, value, wrong)
 
 
 # --------------------------------------------------------------------- #

@@ -15,6 +15,8 @@ The headline invariants, checked on every circuit-generator family:
 from __future__ import annotations
 
 import copy
+import gc
+import weakref
 
 import pytest
 
@@ -219,6 +221,18 @@ def test_circuit_context_seeding_and_invalidation():
     rebuilt = circuit_context(circuit)
     assert rebuilt is not context
     assert rebuilt.learning is None and "n" in rebuilt.observable
+
+
+def test_cached_context_and_analysis_die_with_their_circuit():
+    """The per-circuit caches hold their circuit weakly: a campaign's
+    circuit, learning, engine and closure memo are freed with it."""
+    circuit = _dead_inverter()
+    context = circuit_context(circuit, learn_implications(circuit))
+    assert context.excitation_closure(StuckAtFault("y", 0)) == {"y": 1, "a": 1, "b": 1, "n": 0}
+    alive = weakref.ref(circuit)
+    del circuit, context
+    gc.collect()
+    assert alive() is None
 
 
 # --------------------------------------------------------------------------- #
